@@ -200,8 +200,6 @@ type row = {
   pkg : string;
   possible : int;
   ground_t : float;
-  ground_base_t : float;  (* substrate base build inside ground_t (cold) *)
-  ground_extend_t : float;  (* substrate extension inside ground_t (warm) *)
   solve_t : float;
   total_t : float;
   wall_t : float;
@@ -219,7 +217,7 @@ type row = {
 let current_experiment = ref ""
 let recorded_rows : (string * row) list ref = ref []
 
-let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
+let solve_rows ?config ?installed ?cache ?(repo = repo) names =
   (* With a cache, label each row before its solve: a key already present is
      a [hit] (served without solving), anything else a [miss] that the solve
      below will populate.  Status is computed against the cache state at
@@ -244,8 +242,6 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
           pkg;
           possible = s.Concretize.Concretizer.n_possible;
           ground_t = p.Concretize.Concretizer.ground_time;
-          ground_base_t = p.Concretize.Concretizer.ground_base_time;
-          ground_extend_t = p.Concretize.Concretizer.ground_extend_time;
           solve_t = p.Concretize.Concretizer.solve_time;
           total_t = Concretize.Concretizer.total p;
           wall_t = wall;
@@ -266,8 +262,6 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
           pkg;
           possible = n_possible;
           ground_t = p.Concretize.Concretizer.ground_time;
-          ground_base_t = p.Concretize.Concretizer.ground_base_time;
-          ground_extend_t = p.Concretize.Concretizer.ground_extend_time;
           solve_t = p.Concretize.Concretizer.solve_time;
           total_t = Concretize.Concretizer.total p;
           wall_t = wall;
@@ -288,8 +282,7 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
       let statuses = List.map status_of names in
       let t0 = Unix.gettimeofday () in
       let batch =
-        Concretize.Concretizer.solve_many ~pool:p ?config ?installed ?cache:hook
-          ?substrate ~repo
+        Concretize.Concretizer.solve_many ~pool:p ?config ?installed ?cache:hook ~repo
           (List.map (fun pkg -> [ Specs.Spec_parser.parse pkg ]) names)
       in
       let wall = Unix.gettimeofday () -. t0 in
@@ -309,8 +302,7 @@ let solve_rows ?config ?installed ?cache ?substrate ?(repo = repo) names =
           let status = status_of pkg in
           let t0 = Unix.gettimeofday () in
           match
-            Concretize.Concretizer.solve_spec ?config ?installed ?cache:hook
-              ?substrate ~repo pkg
+            Concretize.Concretizer.solve_spec ?config ?installed ?cache:hook ~repo pkg
           with
           | r -> row_of pkg status (Unix.gettimeofday () -. t0) r
           | exception Concretize.Facts.Unknown_package _ -> None)
@@ -365,16 +357,10 @@ let write_json path =
     (fun i (exp, r) ->
       Printf.fprintf oc
         "    {\"experiment\": \"%s\", \"pkg\": \"%s\", \"possible\": %d, \
-         \"ground_s\": %.6f, \"ground_base_s\": %.6f, \"ground_extend_s\": %.6f, \
-         \"substrate\": \"%s\", \"solve_s\": %.6f, \"total_s\": %.6f, \
+         \"ground_s\": %.6f, \"solve_s\": %.6f, \"total_s\": %.6f, \
          \"wall_s\": %.6f, \"jobs\": %d, \"outcome\": \"%s\", \"verified\": %b, \
          \"cache\": \"%s\", \"peak_rss_mb\": %.1f}%s\n"
-        (json_escape exp) (json_escape r.pkg) r.possible r.ground_t r.ground_base_t
-        r.ground_extend_t
-        (if r.ground_base_t > 0. then "cold"
-         else if r.ground_extend_t > 0. then "warm"
-         else "off")
-        r.solve_t r.total_t
+        (json_escape exp) (json_escape r.pkg) r.possible r.ground_t r.solve_t r.total_t
         r.wall_t r.jobs (json_escape r.outcome) r.verified (json_escape r.cache)
         r.peak_rss_mb
         (if i = List.length rows - 1 then "" else ","))
@@ -457,43 +443,6 @@ let fig7d () =
         (Asp.Config.preset_name preset ^ " (ground only)")
         (List.map (fun r -> r.ground_t) rows))
     [ Asp.Config.Tweety; Asp.Config.Trendy; Asp.Config.Handy ];
-  (* incremental grounding: solve every package once cold (each first
-     request grounds and freezes its name-skeleton base) and then once warm
-     with a *different* request over the same names (a harmless extra
-     constraint) — the warm pass only extends the frozen bases, so its
-     ground cost is the per-request delta, not the full instantiation *)
-  subsection "substrate: cold base builds vs warm extensions (same repo/DB)";
-  let substrate =
-    Concretize.Substrate.create ~capacity:(List.length names) ()
-  in
-  let saved = !current_experiment in
-  current_experiment := saved ^ "-substrate-cold";
-  let cold = solve_rows ~substrate names in
-  current_experiment := saved ^ "-substrate-warm";
-  (* "@0:" is trivially satisfiable and changes no answer, but makes the
-     request distinct from the cold one — this measures base reuse across
-     different requests, not request-level caching *)
-  let warm = solve_rows ~substrate (List.map (fun p -> p ^ "@0:") names) in
-  current_experiment := saved;
-  let p50 l =
-    let a = Array.of_list l in
-    Array.sort Float.compare a;
-    percentile a 0.50
-  in
-  let base_p50 = p50 (List.map (fun r -> r.ground_base_t) cold) in
-  let extend_p50 = p50 (List.map (fun r -> r.ground_extend_t) warm) in
-  Printf.printf
-    "cold pass: p50 base build %.4fs (+ extension %.4fs); warm pass: p50 \
-     extension %.4fs (%.1fx less grounding)\n"
-    base_p50
-    (p50 (List.map (fun r -> r.ground_extend_t) cold))
-    extend_p50
-    (base_p50 /. Float.max 1e-9 extend_p50);
-  let c = Concretize.Substrate.counters substrate in
-  Printf.printf
-    "substrate: %d bases, %d extensions, %d fallbacks\n"
-    c.Concretize.Substrate.base_builds c.Concretize.Substrate.extensions
-    c.Concretize.Substrate.fallbacks;
   if !quick then begin
     (* quick suite only: run the default preset twice against a shared solve
        cache — the cold pass populates it, the warm pass should be served
@@ -996,8 +945,6 @@ let cudf_bench () =
                       pkg = Printf.sprintf "synth-%d-%d" n seed;
                       possible = g.Asp.Grounder.possible_atoms;
                       ground_t = p.Cudf.Solver.ground_time;
-                      ground_base_t = 0.;
-                      ground_extend_t = 0.;
                       solve_t = p.Cudf.Solver.solve_time;
                       total_t = Cudf.Solver.total p;
                       wall_t = wall;

@@ -67,7 +67,7 @@ let print_result ~stack ~show_stats ~show_state result =
     0
 
 let run file synth seed stack_name preset timeout retries jobs explain
-    no_verify show_stats show_state materialize =
+    no_verify show_stats show_state =
   let stack =
     match Cudf.Criteria.of_name stack_name with
     | Some s -> s
@@ -124,10 +124,9 @@ let run file synth seed stack_name preset timeout retries jobs explain
        (fun _ ->
          if Asp.Budget.is_cancelled tok then exit 130;
          Asp.Budget.cancel tok));
-  let installed_mode = if materialize then `Materialize else `Stream in
   let solve ?pool ?racers () =
     Cudf.Solver.solve_escalating ~attempts:(retries + 1) ~config ~cancel:tok
-      ?pool ?racers ~explain ~stack ~installed_mode doc
+      ?pool ?racers ~explain ~stack doc
   in
   let result =
     if jobs <= 1 then solve ()
@@ -191,12 +190,6 @@ let stats =
 let show_state =
   Arg.(value & flag & info [ "state" ] ~doc:"Print the full final installation state.")
 
-let materialize =
-  Arg.(value & flag & info [ "materialize" ]
-         ~doc:"Emit installed-state facts as parsed statements instead of \
-               streaming them into the grounder (slower at scale; for \
-               debugging the streaming path).")
-
 let cmd =
   let doc = "solve CUDF package universes with the ASP-based dependency solver" in
   let man =
@@ -213,7 +206,6 @@ let cmd =
   Cmd.v (Cmd.info "cudf_solve" ~doc ~man)
     Term.(
       const run $ file $ synth $ seed $ stack_name $ preset $ timeout
-      $ retries $ jobs $ explain $ no_verify $ stats $ show_state
-      $ materialize)
+      $ retries $ jobs $ explain $ no_verify $ stats $ show_state)
 
 let () = exit (Cmd.eval cmd)

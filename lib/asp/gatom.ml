@@ -51,47 +51,32 @@ module Store = struct
       + Term.id k.kvalue
   end)
 
-  (* A store is either a root (parent = None) or a single extension layer
-     over a frozen root: ids below [offset] resolve in the parent, ids at or
-     above it in the layer's own tables.  Layers never nest (the substrate
-     clones roots instead of chaining), so every lookup is at most two
-     probes.  A frozen root is immutable and safe to share across domains;
-     fact marks a layer places on parent atoms live in [overlay]. *)
   type t = {
-    parent : t option;
-    offset : int;  (** ids below this live in [parent] *)
     ids : int H.t;
     atoms : atom Vec.t;
     facts : bool Vec.t;
-    overlay : (int, unit) Hashtbl.t;  (** parent ids fact-marked by this layer *)
     preds : (string * int, int Vec.t) Hashtbl.t;
     index : int Vec.t K.t;
-    mutable frozen : bool;
     empty : int Vec.t;  (** shared empty vector for misses *)
   }
 
   let create () =
     {
-      parent = None;
-      offset = 0;
       ids = H.create 4096;
       atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
       facts = Vec.create ~dummy:false ();
-      overlay = Hashtbl.create 1;
       preds = Hashtbl.create 256;
       index = K.create 4096;
-      frozen = false;
       empty = Vec.create ~capacity:1 ~dummy:0 ();
     }
 
-  let count st = st.offset + Vec.length st.atoms
+  let count st = Vec.length st.atoms
 
-  let local_intern st a =
+  let intern st a =
     match H.find_opt st.ids a with
     | Some id -> id
     | None ->
-      if st.frozen then invalid_arg "Gatom.Store.intern: store is frozen";
-      let id = st.offset + Vec.length st.atoms in
+      let id = Vec.length st.atoms in
       H.add st.ids a id;
       Vec.push st.atoms a;
       Vec.push st.facts false;
@@ -115,119 +100,16 @@ module Store = struct
         a.args;
       id
 
-  let intern st a =
-    match st.parent with
-    | None -> local_intern st a
-    | Some p -> ( match H.find_opt p.ids a with Some id -> id | None -> local_intern st a)
-
-  let find st a =
-    match st.parent with
-    | None -> H.find_opt st.ids a
-    | Some p -> (
-      match H.find_opt p.ids a with Some id -> Some id | None -> H.find_opt st.ids a)
-
-  let rec atom st id =
-    if id < st.offset then atom (Option.get st.parent) id
-    else Vec.get st.atoms (id - st.offset)
-
-  let mark_fact st id =
-    if id < st.offset then begin
-      let p = Option.get st.parent in
-      if not (Vec.get p.facts id) then Hashtbl.replace st.overlay id ()
-    end
-    else begin
-      if st.frozen then invalid_arg "Gatom.Store.mark_fact: store is frozen";
-      Vec.set st.facts (id - st.offset) true
-    end
-
-  let is_fact st id =
-    if id < st.offset then
-      let p = Option.get st.parent in
-      Vec.get p.facts id || Hashtbl.mem st.overlay id
-    else Vec.get st.facts (id - st.offset)
-
-  let freeze st =
-    if st.parent <> None then invalid_arg "Gatom.Store.freeze: not a root store";
-    st.frozen <- true
-
-  let extend st =
-    if st.parent <> None then invalid_arg "Gatom.Store.extend: layers do not nest";
-    if not st.frozen then invalid_arg "Gatom.Store.extend: freeze the base first";
-    {
-      parent = Some st;
-      offset = count st;
-      ids = H.create 256;
-      atoms = Vec.create ~dummy:{ pred = ""; args = [] } ();
-      facts = Vec.create ~dummy:false ();
-      overlay = Hashtbl.create 16;
-      preds = Hashtbl.create 64;
-      index = K.create 256;
-      frozen = false;
-      empty = st.empty;
-    }
-
-  (* Deep copy of a root store (atoms and terms shared; all tables fresh).
-     The install-delta path clones the frozen base and mutates the clone,
-     so substrates never chain layers. *)
-  let clone st =
-    if st.parent <> None then invalid_arg "Gatom.Store.clone: not a root store";
-    let preds = Hashtbl.create (Hashtbl.length st.preds) in
-    Hashtbl.iter (fun k v -> Hashtbl.add preds k (Vec.copy v)) st.preds;
-    let index = K.create (K.length st.index) in
-    K.iter (fun k v -> K.add index k (Vec.copy v)) st.index;
-    {
-      parent = None;
-      offset = 0;
-      ids = H.copy st.ids;
-      atoms = Vec.copy st.atoms;
-      facts = Vec.copy st.facts;
-      overlay = Hashtbl.create 1;
-      preds;
-      index;
-      frozen = false;
-      empty = Vec.create ~capacity:1 ~dummy:0 ();
-    }
-
-  (* Candidate ids for a (pred, arity[, arg]) probe: at most two backing
-     vectors (parent layer + local layer), exposed as one sequence. *)
-  type cands = { c_n : int; c_a : int Vec.t; c_b : int Vec.t }
-
-  let cands_length c = c.c_n
-  let cands_iter f c =
-    Vec.iter f c.c_a;
-    Vec.iter f c.c_b
-
-  let pred_vec st p a =
-    match Hashtbl.find_opt st.preds (p, a) with Some v -> v | None -> st.empty
+  let find st a = H.find_opt st.ids a
+  let atom st id = Vec.get st.atoms id
+  let mark_fact st id = Vec.set st.facts id true
+  let is_fact st id = Vec.get st.facts id
 
   let by_pred st p a =
-    match st.parent with
-    | None ->
-      let v = pred_vec st p a in
-      { c_n = Vec.length v; c_a = v; c_b = st.empty }
-    | Some par ->
-      let v1 = pred_vec par p a and v2 = pred_vec st p a in
-      { c_n = Vec.length v1 + Vec.length v2; c_a = v1; c_b = v2 }
+    match Hashtbl.find_opt st.preds (p, a) with Some v -> v | None -> st.empty
 
-  let arg_vec st p a ~pos ~value =
+  let by_pred_arg st p a ~pos ~value =
     match K.find_opt st.index { kpred = p; karity = a; kpos = pos; kvalue = value } with
     | Some v -> v
     | None -> st.empty
-
-  let by_pred_arg st p a ~pos ~value =
-    match st.parent with
-    | None ->
-      let v = arg_vec st p a ~pos ~value in
-      { c_n = Vec.length v; c_a = v; c_b = st.empty }
-    | Some par ->
-      let v1 = arg_vec par p a ~pos ~value and v2 = arg_vec st p a ~pos ~value in
-      { c_n = Vec.length v1 + Vec.length v2; c_a = v1; c_b = v2 }
-
-  let fold_pred_names st f acc =
-    let acc =
-      match st.parent with
-      | Some p -> Hashtbl.fold (fun k _ acc -> f k acc) p.preds acc
-      | None -> acc
-    in
-    Hashtbl.fold (fun k _ acc -> f k acc) st.preds acc
 end

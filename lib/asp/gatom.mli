@@ -12,21 +12,14 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val make : string -> Term.t list -> t
 
-(** Interning store.
-
-    A store is either a {e root} or a single {e extension layer} over a
-    frozen root ({!Store.extend}): layered stores resolve ids below the
-    base's count in the base and the rest locally, which is what lets the
-    incremental grounder share one immutable base store across many
-    concurrent per-request extensions. *)
+(** Interning store. *)
 module Store : sig
   type atom = t
   type t
 
   val create : unit -> t
   val intern : t -> atom -> int
-  (** Id of the atom, adding it if new.
-      @raise Invalid_argument when the store is frozen and the atom is new. *)
+  (** Id of the atom, adding it if new. *)
 
   val find : t -> atom -> int option
   val atom : t -> int -> atom
@@ -34,38 +27,14 @@ module Store : sig
 
   val mark_fact : t -> int -> unit
   val is_fact : t -> int -> bool
-  (** Atoms asserted by ground fact statements (unconditionally true).  A
-      layer marking a base atom records the mark in a local overlay; the
-      frozen base is never written. *)
+  (** Atoms asserted by ground fact statements (unconditionally true). *)
 
-  val freeze : t -> unit
-  (** Make a root store immutable ({!intern} of new atoms and {!mark_fact}
-      raise).  Required before {!extend}; a frozen store is safe to share
-      across domains. *)
-
-  val extend : t -> t
-  (** A fresh mutable layer over a frozen root.  Layers do not nest. *)
-
-  val clone : t -> t
-  (** Independent mutable copy of a root store (atoms shared, tables
-      fresh).  The install-delta path mutates clones instead of chaining
-      layers. *)
-
-  (** Candidate ids of a probe: at most two backing vectors (base + layer)
-      exposed as one sequence.  Do not mutate the backing vectors. *)
-  type cands
-
-  val cands_length : cands -> int
-  val cands_iter : (int -> unit) -> cands -> unit
-
-  val by_pred : t -> string -> int -> cands
+  val by_pred : t -> string -> int -> int Vec.t
   (** [by_pred store p a] is the ids of all stored atoms with predicate [p]
-      and arity [a]. *)
+      and arity [a], in interning order.  The vector is the store's own
+      index: do not mutate it. *)
 
-  val by_pred_arg : t -> string -> int -> pos:int -> value:Term.t -> cands
-  (** Atoms of [p/a] whose argument at [pos] equals [value]. *)
-
-  val fold_pred_names : t -> (string * int -> 'a -> 'a) -> 'a -> 'a
-  (** May present a (pred, arity) pair twice on a layered store when both
-      layers contain atoms of it. *)
+  val by_pred_arg : t -> string -> int -> pos:int -> value:Term.t -> int Vec.t
+  (** Atoms of [p/a] whose argument at [pos] equals [value]; same sharing
+      rule as {!by_pred}. *)
 end

@@ -50,16 +50,6 @@ type t = {
 val create : Gatom.Store.t -> t
 val empty_body : body
 
-val noop_rule : rule
-(** A vacuous rule (unbounded choice over no atoms): incremental
-    re-emission overwrites retracted slots with it, keeping rule indices
-    stable for provenance. *)
-
-val fork : t -> Gatom.Store.t -> t
-(** Copy of the program (rules, origins, conflicts, minimize) over a new
-    store — the starting point for extending a frozen base program.  The
-    copies are independent; rule records are shared. *)
-
 val body_size : body -> int
 val num_rules : t -> int
 val num_atoms : t -> int

@@ -212,20 +212,11 @@ type chead =
   | C_choice of { c_lb : cterm option; c_ub : cterm option; c_elems : celem list }
 
 type compiled = {
-  c_uid : int;  (** unique per source rule within one base program *)
   c_head : chead;
   c_body : split_body;
   c_text : string;  (** for error messages and provenance *)
   c_line : int;  (** source line of the rule (0 when synthesized) *)
   c_nvars : int;
-  c_gpreds : (string * int) list;
-      (** predicates the instance's emission consults through guard
-          enumeration (choice-element guards and Forall conditions): new
-          facts of these predicates can change what an already-emitted
-          instance should look like *)
-  c_cgpreds : (string * int) list;
-      (** choice-element guard predicates only: new facts here require
-          re-deriving the rule's heads during an incremental closure *)
 }
 
 let compile_head cx = function
@@ -255,19 +246,6 @@ let compile_head cx = function
         c_elems = celems;
       }
 
-let forall_pred_list (b : split_body) =
-  Array.fold_left
-    (fun acc (_, conds) ->
-      List.fold_left (fun acc c -> (c.cpred, c.carity) :: acc) acc conds)
-    [] b.b_foralls
-
-let choice_guard_pred_list = function
-  | C_choice { c_elems; _ } ->
-    List.concat_map
-      (fun e -> List.map (fun c -> (c.cpred, c.carity)) e.ce_guard)
-      c_elems
-  | C_none | C_atom _ -> []
-
 (* ------------------------------------------------------------------ *)
 (* The grounding state.                                                *)
 (* ------------------------------------------------------------------ *)
@@ -284,14 +262,14 @@ let is_edb st (a : catom) = not (Hashtbl.mem st.idb (a.cpred, a.carity))
 (* Candidate atom ids for a positive atom pattern under the current env.
    Picks the most selective index among argument positions whose pattern is
    already ground. *)
-let candidates st (pat : catom) : Gatom.Store.cands =
+let candidates st (pat : catom) : int Vec.t =
   let best = ref None in
   List.iteri
     (fun pos p ->
       match eval st.env p with
       | Some v ->
         let c = Gatom.Store.by_pred_arg st.store pat.cpred pat.carity ~pos ~value:v in
-        let n = Gatom.Store.cands_length c in
+        let n = Vec.length c in
         (match !best with
         | Some (m, _) when m <= n -> ()
         | _ -> best := Some (n, c))
@@ -344,7 +322,7 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
           for i = 0 to npos - 1 do
             if not done_pos.(i) then begin
               let c = candidates st body.b_pos.(i) in
-              let n = Gatom.Store.cands_length c in
+              let n = Vec.length c in
               if n < !best_n then begin
                 best := i;
                 best_c := Some c;
@@ -356,7 +334,7 @@ let enumerate st (body : split_body) ?delta (k : int array -> unit) =
       in
       done_pos.(i) <- true;
       let lo = match delta with Some (j, lo) when j = i -> lo | _ -> 0 in
-      Gatom.Store.cands_iter
+      Vec.iter
         (fun id ->
           if id >= lo then begin
             let m = Env.mark st.env in
@@ -395,7 +373,7 @@ let enumerate_guard st (conds : catom list) rule_text (k : unit -> unit) =
     | [] -> k ()
     | c :: rest ->
       let cands = candidates st c in
-      Gatom.Store.cands_iter
+      Vec.iter
         (fun id ->
           if Gatom.Store.is_fact st.store id then begin
             let m = Env.mark st.env in
@@ -460,24 +438,12 @@ let possible_closure st (rules : compiled list) =
 
 exception Drop_instance
 
-(* Per-instance emission record: the (pred, arity) pairs this instance's
-   simplification treated as {e impossible} — erased negative literals and
-   missing Forall targets.  If atoms of such a predicate later join the
-   possible set (an incremental extension), the instance is stale and must
-   be re-emitted. *)
-type emitrec = { mutable er_absent : (string * int) list }
-
 (* Resolve the full body of a rule instance to (pos, neg) atom-id arrays.
    [matched] are the ids matched for positive literals.  Facts are removed;
    impossible positive atoms (from Forall expansion) or negated facts drop
    the whole instance. *)
-let resolve_body ?er st (body : split_body) (matched : int array) : Ground.body =
+let resolve_body st (body : split_body) (matched : int array) : Ground.body =
   let pos = ref [] and neg = ref [] in
-  let note_absent (a : catom) =
-    match er with
-    | Some e -> e.er_absent <- (a.cpred, a.carity) :: e.er_absent
-    | None -> ()
-  in
   let add_pos id = if not (Gatom.Store.is_fact st.store id) then pos := id :: !pos in
   Array.iter add_pos matched;
   Array.iter
@@ -486,15 +452,13 @@ let resolve_body ?er st (body : split_body) (matched : int array) : Ground.body 
           let ga = ground_atom st "conditional literal" target in
           match Gatom.Store.find st.store ga with
           | Some id -> add_pos id
-          | None ->
-            note_absent target;
-            raise Drop_instance))
+          | None -> raise Drop_instance))
     body.b_foralls;
   Array.iter
     (fun a ->
       let ga = ground_atom st "negative literal" a in
       match Gatom.Store.find st.store ga with
-      | None -> note_absent a (* impossible atom: [not a] trivially true *)
+      | None -> () (* impossible atom: [not a] trivially true *)
       | Some id -> if Gatom.Store.is_fact st.store id then raise Drop_instance else neg := id :: !neg)
     body.b_negs;
   let dedup l = List.sort_uniq Int.compare l in
@@ -509,159 +473,48 @@ let bound_value st rule_text = function
 
 (* Compiled minimize element: weight/priority/tuple plus its guard body. *)
 type cmin = {
-  cm_uid : int;  (** shares the uid space of {!compiled.c_uid} *)
   cm_weight : cterm;
   cm_priority : cterm;
   cm_tuple : cterm list;
   cm_body : split_body;
   cm_nvars : int;
-  cm_gpreds : (string * int) list;  (** Forall condition predicates *)
 }
 
-let compile_min_elem uid ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
+let compile_min_elem ({ Ast.weight; priority; tuple; guard } : Ast.min_elem) =
   let cx = new_cx () in
   let cm_body = split_body cx guard in
   {
-    cm_uid = uid;
     cm_weight = compile_term cx weight;
     cm_priority = compile_term cx priority;
     cm_tuple = List.map (compile_term cx) tuple;
     cm_body;
     cm_nvars = cx.nvars;
-    cm_gpreds = List.sort_uniq compare (forall_pred_list cm_body);
   }
 
-(* ------------------------------------------------------------------ *)
-(* Instance bookkeeping for incremental extension.                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Where an instance's emitted form lives in the output program, so a
-   re-emission can overwrite it in place. [S_none] means the instance
-   currently emits nothing (dropped, head-is-fact, or empty choice). *)
-type islot = S_rule of int | S_min of int | S_none
-
-type inst = {
-  i_src : isrc;
-  i_matched : int array;  (** atom ids matched by the positive body *)
-  i_uid : int;
-  mutable i_slot : islot;
-}
-
-and isrc = I_rule of compiled | I_min of cmin
-
-(* Staleness maps of a frozen base program.  An emitted (or dropped)
-   instance is indexed under every (pred, arity) whose future growth could
-   change its emitted form:
-   - [m_absent]: predicates of erased negative literals and of missing
-     Forall targets (the instance assumed these atoms impossible);
-   - [m_guard]: predicates its guard enumerations range over (choice
-     element guards, Forall conditions) — guards see only {e facts}, which
-     are all seeded (guards are restricted to EDB predicates), so new
-     seeded facts are the only way a guard's expansion can grow.
-   Everything else an emitted instance depends on is either monotone or
-   re-checked dynamically by {!Translate} (fact marks on body literals). *)
-type maps = {
-  mutable m_next : int;  (** instance uid counter *)
-  m_absent : (string * int, inst list ref) Hashtbl.t;
-  m_guard : (string * int, inst list ref) Hashtbl.t;
-}
-
-let multi_add tbl k v =
-  match Hashtbl.find_opt tbl k with
-  | Some l -> l := v :: !l
-  | None -> Hashtbl.add tbl k (ref [ v ])
-
-(* Dedup key for delta emission: (rule uid, matched ids).  An instance
-   whose positive body matches >= 2 new atoms is found once per delta
-   position. *)
-module Ikey = Hashtbl.Make (struct
-  type t = int * int array
-
-  let equal (a, xs) (b, ys) = Int.equal a b && xs = ys
-  let hash (a, xs) = Array.fold_left (fun h x -> (h * 31) + x) a xs
-end)
-
 (* Emit one rule instance.  The environment must hold the instance's
-   substitution (the enumerate callback provides it; re-emission restores
-   it with [rebind]).  With [maps], the instance is recorded in the
-   staleness maps; with [replace], it overwrites its previous slot instead
-   of appending ([Ground.noop_rule] fills slots whose instance no longer
-   emits anything, keeping rule indices stable). *)
-let emit_rule_instance st (out : Ground.t) ?maps ?replace (r : compiled)
-    (matched : int array) : islot =
+   substitution (the enumerate callback provides it). *)
+let emit_rule_instance st (out : Ground.t) (r : compiled) (matched : int array) =
   Budget.tick_instance st.budget;
   (* [matched] is a fresh array per instance: retain it as the
      pre-simplification positive body for provenance *)
   let origin = { Ground.o_line = r.c_line; o_text = r.c_text; o_pos = matched } in
-  let er = match maps with Some _ -> Some { er_absent = [] } | None -> None in
-  let record slot =
-    (match maps with
-    | Some m ->
-      let absent =
-        match er with Some e -> List.sort_uniq compare e.er_absent | None -> []
-      in
-      if absent <> [] || r.c_gpreds <> [] then begin
-        let i = { i_src = I_rule r; i_matched = matched; i_uid = m.m_next; i_slot = slot } in
-        m.m_next <- m.m_next + 1;
-        List.iter (fun k -> multi_add m.m_absent k i) absent;
-        List.iter (fun k -> multi_add m.m_guard k i) r.c_gpreds
-      end
-    | None -> ());
-    slot
-  in
-  let put rule =
-    match replace with
-    | Some (S_rule i) ->
-      Vec.set out.Ground.rules i rule;
-      Vec.set out.Ground.origins i origin;
-      S_rule i
-    | Some (S_min _) -> assert false
-    | Some S_none | None ->
-      Ground.push_rule out rule origin;
-      S_rule (Ground.num_rules out - 1)
-  in
-  let void () =
-    match replace with
-    | Some (S_rule i) ->
-      Vec.set out.Ground.rules i Ground.noop_rule;
-      S_rule i
-    | Some (S_min _) -> assert false
-    | Some S_none | None -> S_none
-  in
+  let put rule = Ground.push_rule out rule origin in
   let conflict () =
     out.Ground.inconsistent <- true;
-    Vec.push out.Ground.conflicts0 origin;
-    void ()
+    Vec.push out.Ground.conflicts0 origin
   in
-  match resolve_body ?er st r.c_body matched with
-  | exception Drop_instance -> record (void ())
+  match resolve_body st r.c_body matched with
+  | exception Drop_instance -> ()
   | body -> (
     match r.c_head with
     | C_none ->
-      if Ground.body_size body = 0 then record (conflict ())
-      else record (put (Ground.Rconstraint body))
+      if Ground.body_size body = 0 then conflict () else put (Ground.Rconstraint body)
     | C_atom a ->
       let ga = ground_atom st r.c_text a in
       let id = Gatom.Store.intern st.store ga in
-      if Gatom.Store.is_fact st.store id then record (void ())
-      else if Ground.body_size body = 0 then begin
-        (* An empty body normally promotes the head to a fact — but a fact
-           mark cannot be retracted by a later re-emission, so when the
-           emptiness rests on retractable grounds (erased negation, missing
-           Forall target, guard expansion) emit an unconditional rule
-           instead. *)
-        let retractable =
-          match er with
-          | Some e -> e.er_absent <> [] || r.c_gpreds <> []
-          | None -> false
-        in
-        if retractable then record (put (Ground.Rnormal (id, body)))
-        else begin
-          Gatom.Store.mark_fact st.store id;
-          record (void ())
-        end
-      end
-      else record (put (Ground.Rnormal (id, body)))
+      if Gatom.Store.is_fact st.store id then ()
+      else if Ground.body_size body = 0 then Gatom.Store.mark_fact st.store id
+      else put (Ground.Rnormal (id, body))
     | C_choice { c_lb; c_ub; c_elems } ->
       let lb = bound_value st r.c_text c_lb in
       let ub = bound_value st r.c_text c_ub in
@@ -675,56 +528,15 @@ let emit_rule_instance st (out : Ground.t) ?maps ?replace (r : compiled)
       if Array.length heads = 0 then begin
         match lb with
         | Some n when n > 0 ->
-          if Ground.body_size body = 0 then record (conflict ())
-          else record (put (Ground.Rconstraint body))
-        | _ -> record (void ())
+          if Ground.body_size body = 0 then conflict () else put (Ground.Rconstraint body)
+        | _ -> ()
       end
-      else record (put (Ground.Rchoice { lb; ub; heads; cbody = body })))
+      else put (Ground.Rchoice { lb; ub; heads; cbody = body }))
 
-let emit_min_instance st (out : Ground.t) ?maps ?replace (mn : cmin)
-    (matched : int array) : islot =
+let emit_min_instance st (out : Ground.t) (mn : cmin) (matched : int array) =
   Budget.tick_instance st.budget;
-  let er = match maps with Some _ -> Some { er_absent = [] } | None -> None in
-  let record slot =
-    (match maps with
-    | Some m ->
-      let absent =
-        match er with Some e -> List.sort_uniq compare e.er_absent | None -> []
-      in
-      if absent <> [] || mn.cm_gpreds <> [] then begin
-        let i = { i_src = I_min mn; i_matched = matched; i_uid = m.m_next; i_slot = slot } in
-        m.m_next <- m.m_next + 1;
-        List.iter (fun k -> multi_add m.m_absent k i) absent;
-        List.iter (fun k -> multi_add m.m_guard k i) mn.cm_gpreds
-      end
-    | None -> ());
-    slot
-  in
-  let put entry =
-    match replace with
-    | Some (S_min i) ->
-      Vec.set out.Ground.minimize i entry;
-      S_min i
-    | Some (S_rule _) -> assert false
-    | Some S_none | None ->
-      Vec.push out.Ground.minimize entry;
-      S_min (Vec.length out.Ground.minimize - 1)
-  in
-  let void () =
-    match replace with
-    | Some (S_min i) ->
-      (* keep the old priority: a zero-weight entry never changes the cost
-         at a priority level that exists, whereas dropping the level
-         entirely could change the cost vector's shape *)
-      let old = Vec.get out.Ground.minimize i in
-      Vec.set out.Ground.minimize i
-        { old with Ground.mweight = 0; mtuple = []; mbody = Ground.empty_body };
-      S_min i
-    | Some (S_rule _) -> assert false
-    | Some S_none | None -> S_none
-  in
-  match resolve_body ?er st mn.cm_body matched with
-  | exception Drop_instance -> record (void ())
+  match resolve_body st mn.cm_body matched with
+  | exception Drop_instance -> ()
   | mbody ->
     let w =
       match eval_exn st.env "minimize weight" mn.cm_weight with
@@ -737,23 +549,19 @@ let emit_min_instance st (out : Ground.t) ?maps ?replace (mn : cmin)
       | t -> errf "minimize priority %a is not an integer" Term.pp t
     in
     let tup = List.map (fun t -> eval_exn st.env "minimize tuple" t) mn.cm_tuple in
-    record (put { Ground.mweight = w; mpriority = p; mtuple = tup; mbody })
+    Vec.push out.Ground.minimize { Ground.mweight = w; mpriority = p; mtuple = tup; mbody }
 
-(* Full (non-incremental) emission pass over the closure. *)
-let emit_all st (out : Ground.t) ?maps (rules : compiled list)
-    (mins : cmin list list) =
+(* Emission pass over the closure. *)
+let emit_all st (out : Ground.t) (rules : compiled list) (mins : cmin list list) =
   List.iter
-    (fun r ->
-      enumerate st r.c_body (fun matched ->
-          ignore (emit_rule_instance st out ?maps r matched)))
+    (fun r -> enumerate st r.c_body (fun matched -> emit_rule_instance st out r matched))
     rules;
   List.iter
     (fun group ->
       List.iter
         (fun m ->
           Env.ensure st.env m.cm_nvars;
-          enumerate st m.cm_body (fun matched ->
-              ignore (emit_min_instance st out ?maps m matched)))
+          enumerate st m.cm_body (fun matched -> emit_min_instance st out m matched))
         group)
     mins
 
@@ -812,34 +620,16 @@ let eval_ground_arg t =
   let ct = compile_term cx t in
   eval (Env.create ()) ct
 
-(* Seed one already-ground atom as a fact.  With [taint], records the
-   (pred, arity) of atoms that are new or newly fact-marked — the guard
-   taint set of an incremental extension.  This is the streaming fact
+(* Seed one already-ground atom as a fact.  This is the streaming fact
    fast path: producers (reuse-fact generation at E4S scale) hand atoms
-   straight to the interned store, with no Ast statement or per-spec
-   atom list in between, and re-seeding an existing fact is a no-op. *)
-let seed_ground_atom store ?taint (ga : Gatom.t) =
-  let changed =
-    match Gatom.Store.find store ga with
-    | Some id ->
-      if Gatom.Store.is_fact store id then false
-      else begin
-        Gatom.Store.mark_fact store id;
-        true
-      end
-    | None ->
-      let id = Gatom.Store.intern store ga in
-      Gatom.Store.mark_fact store id;
-      true
-  in
-  match taint with
-  | Some t when changed ->
-    Hashtbl.replace t (ga.Gatom.pred, List.length ga.Gatom.args) ()
-  | _ -> ()
+   straight to the interned store, with no Ast statement or per-spec atom
+   list in between, and re-seeding an existing fact is a no-op. *)
+let seed_ground_atom store (ga : Gatom.t) =
+  Gatom.Store.mark_fact store (Gatom.Store.intern store ga)
 
 (* Seed a ground fact statement into the store, expanding interval
    arguments into their cartesian product. *)
-let seed_fact store ?taint (a : Ast.atom) =
+let seed_fact store (a : Ast.atom) =
   let rec arg_values = function
     | Ast.Cst c -> [ c ]
     | Ast.Interval (lo, hi) -> (
@@ -864,27 +654,21 @@ let seed_fact store ?taint (a : Ast.atom) =
       List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) (arg_values t)
   in
   List.iter
-    (fun args -> seed_ground_atom store ?taint (Gatom.make a.Ast.pred args))
+    (fun args -> seed_ground_atom store (Gatom.make a.Ast.pred args))
     (expand a.Ast.args)
 
-let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
+let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) :
+    Ground.t * stats =
   Budget.enter budget Budget.Ground;
   let store = Gatom.Store.create () in
   let st = { store; env = Env.create (); idb = Hashtbl.create 64; budget } in
   let rules = ref [] and minimizes = ref [] in
-  let uid = ref 0 in
-  let next_uid () =
-    let u = !uid in
-    incr uid;
-    u
-  in
   (* Seed facts; collect rules and classify IDB predicates. *)
   List.iter
     (fun stmt ->
       match stmt with
       | Ast.Show _ -> ()
-      | Ast.Minimize elems ->
-        minimizes := List.map (fun e -> compile_min_elem (next_uid ()) e) elems :: !minimizes
+      | Ast.Minimize elems -> minimizes := List.map compile_min_elem elems :: !minimizes
       | Ast.Rule ({ head; body; _ } as r) ->
         if Ast.statement_is_fact stmt then begin
           match head with
@@ -901,21 +685,9 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
           let cx = new_cx () in
           let c_head = compile_head cx head in
           let c_body = split_body cx body in
-          let cgpreds = List.sort_uniq compare (choice_guard_pred_list c_head) in
-          let c =
-            {
-              c_uid = next_uid ();
-              c_head;
-              c_body;
-              c_text = text;
-              c_line = r.Ast.line;
-              c_nvars = cx.nvars;
-              c_gpreds =
-                List.sort_uniq compare (choice_guard_pred_list c_head @ forall_pred_list c_body);
-              c_cgpreds = cgpreds;
-            }
-          in
-          rules := c :: !rules
+          rules :=
+            { c_head; c_body; c_text = text; c_line = r.Ast.line; c_nvars = cx.nvars }
+            :: !rules
         end)
     prog;
   (* Streamed facts are seeded after the statement facts, which is where
@@ -926,259 +698,13 @@ let ground_internal ~budget ~maps ?facts_stream (prog : Ast.program) =
   | None -> ());
   let rules = List.rev !rules in
   let mins = List.rev !minimizes in
-  let max_nvars = List.fold_left (fun m r -> max m r.c_nvars) 0 rules in
-  Env.ensure st.env max_nvars;
+  Env.ensure st.env (List.fold_left (fun m r -> max m r.c_nvars) 0 rules);
   let rounds = possible_closure st rules in
   let out = Ground.create store in
-  emit_all st out ?maps rules mins;
-  let stats =
+  emit_all st out rules mins;
+  ( out,
     {
       possible_atoms = Gatom.Store.count store;
       ground_rules = Ground.num_rules out;
       fixpoint_rounds = rounds;
-    }
-  in
-  (st, out, rules, mins, max_nvars, stats)
-
-let ground ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) :
-    Ground.t * stats =
-  let _, out, _, _, _, stats =
-    ground_internal ~budget ~maps:None ?facts_stream prog
-  in
-  (out, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental bases: ground once, extend per request, rebase on       *)
-(* install deltas.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type base = {
-  b_store : Gatom.Store.t;  (** frozen *)
-  b_ground : Ground.t;
-  b_rules : compiled list;
-  b_mins : cmin list list;
-  b_idb : (string * int, unit) Hashtbl.t;
-  b_nvars : int;
-  b_maps : maps;
-  b_stats : stats;
-}
-
-let base_ground b = b.b_ground
-let base_stats b = b.b_stats
-
-let ground_base ?(budget = Budget.unlimited) ?facts_stream (prog : Ast.program) :
-    base * stats =
-  let maps =
-    { m_next = 0; m_absent = Hashtbl.create 256; m_guard = Hashtbl.create 64 }
-  in
-  let st, out, rules, mins, nvars, stats =
-    ground_internal ~budget ~maps:(Some maps) ?facts_stream prog
-  in
-  Gatom.Store.freeze st.store;
-  ( {
-      b_store = st.store;
-      b_ground = out;
-      b_rules = rules;
-      b_mins = mins;
-      b_idb = st.idb;
-      b_nvars = nvars;
-      b_maps = maps;
-      b_stats = stats;
-    },
-    stats )
-
-let clone_maps (m : maps) =
-  let copies = Hashtbl.create 256 in
-  let copy_inst i =
-    match Hashtbl.find_opt copies i.i_uid with
-    | Some c -> c
-    | None ->
-      let c = { i with i_slot = i.i_slot } in
-      Hashtbl.add copies i.i_uid c;
-      c
-  in
-  let copy_tbl t =
-    let t' = Hashtbl.create (max 16 (Hashtbl.length t)) in
-    Hashtbl.iter (fun k l -> Hashtbl.add t' k (ref (List.map copy_inst !l))) t;
-    t'
-  in
-  { m_next = m.m_next; m_absent = copy_tbl m.m_absent; m_guard = copy_tbl m.m_guard }
-
-(* Restore an instance's substitution by re-matching its positive patterns
-   against the atoms it matched originally, then run [k]. *)
-let rebind st (b : split_body) nvars (matched : int array) (k : unit -> unit) =
-  Env.ensure st.env nvars;
-  let m = Env.mark st.env in
-  let ok = ref true in
-  Array.iteri
-    (fun i pat ->
-      if !ok && not (match_atom st.env pat (Gatom.Store.atom st.store matched.(i)))
-      then ok := false)
-    b.b_pos;
-  if !ok then k ();
-  Env.undo st.env m
-
-(* Seed the delta's fact statements; returns the guard taint set. *)
-let seed_delta st (added : Ast.statement list) =
-  let tainted = Hashtbl.create 16 in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Show _ -> ()
-      | Ast.Rule { head = Ast.Head_atom a; _ } when Ast.statement_is_fact stmt ->
-        seed_fact st.store ~taint:tainted a
-      | stmt ->
-        errf "substrate delta must contain only facts, got %a" Ast.pp_statement stmt)
-    added;
-  tainted
-
-(* The incremental core: seed [added] facts over a base, continue the
-   possible-atom closure, re-emit the base instances the growth made
-   stale, and emit the brand-new instances semi-naively.  [src_maps] is
-   consulted for staleness; [maps]/[update_slots] control whether the
-   result's bookkeeping is maintained (rebase) or discarded (per-request
-   extension). *)
-let extend_onto st (out : Ground.t) (base : base) ~src_maps ~maps ~update_slots
-    ?facts_stream (added : Ast.statement list) =
-  let pre_count = Gatom.Store.count st.store in
-  let guard_taint = seed_delta st added in
-  (* A streamed fact that already exists is a no-op (no taint); only the
-     genuinely new atoms taint guards, so re-streaming the full reuse set
-     over a rebased base dedups for free. *)
-  (match facts_stream with
-  | Some stream ->
-    stream (fun ga -> seed_ground_atom st.store ~taint:guard_taint ga)
-  | None -> ());
-  (* Closure continuation.  Rules whose choice-element guards range over a
-     tainted predicate re-derive their heads in full: the guard (not the
-     body) changed, which the semi-naive body delta cannot see. *)
-  List.iter
-    (fun r ->
-      if List.exists (fun k -> Hashtbl.mem guard_taint k) r.c_cgpreds then
-        enumerate st r.c_body (fun _ -> derive_heads st r))
-    base.b_rules;
-  let rounds = ref 0 in
-  let frontier = ref pre_count in
-  while !frontier < Gatom.Store.count st.store do
-    incr rounds;
-    let lo = !frontier in
-    frontier := Gatom.Store.count st.store;
-    List.iter
-      (fun r ->
-        let npos = Array.length r.c_body.b_pos in
-        for i = 0 to npos - 1 do
-          enumerate st r.c_body ~delta:(i, lo) (fun _ -> derive_heads st r)
-        done)
-      base.b_rules
-  done;
-  (* Predicates that gained possible atoms: any base instance that treated
-     them as impossible (erased negs, missing Forall targets) is stale. *)
-  let absent_taint = Hashtbl.create 32 in
-  for id = pre_count to Gatom.Store.count st.store - 1 do
-    let a = Gatom.Store.atom st.store id in
-    Hashtbl.replace absent_taint (a.Gatom.pred, List.length a.Gatom.args) ()
-  done;
-  (* Snapshot the stale instances first: re-emission may append to the very
-     map lists being traversed when [maps] is set. *)
-  let to_reemit = Hashtbl.create 64 in
-  let gather tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some l ->
-      List.iter
-        (fun i ->
-          if not (Hashtbl.mem to_reemit i.i_uid) then Hashtbl.add to_reemit i.i_uid i)
-        !l
-    | None -> ()
-  in
-  Hashtbl.iter (fun k () -> gather src_maps.m_guard k) guard_taint;
-  Hashtbl.iter (fun k () -> gather src_maps.m_absent k) absent_taint;
-  Hashtbl.iter
-    (fun _ i ->
-      match i.i_src with
-      | I_rule r ->
-        rebind st r.c_body r.c_nvars i.i_matched (fun () ->
-            let slot = emit_rule_instance st out ?maps ~replace:i.i_slot r i.i_matched in
-            if update_slots then i.i_slot <- slot)
-      | I_min mn ->
-        rebind st mn.cm_body mn.cm_nvars i.i_matched (fun () ->
-            let slot = emit_min_instance st out ?maps ~replace:i.i_slot mn i.i_matched in
-            if update_slots then i.i_slot <- slot))
-    to_reemit;
-  (* New instances: at least one positive literal matches a new atom.
-     Base instances are disjoint (all their matched ids are old), so only
-     within-delta duplicates need the dedup table. *)
-  let seen = Ikey.create 256 in
-  List.iter
-    (fun r ->
-      let npos = Array.length r.c_body.b_pos in
-      for i = 0 to npos - 1 do
-        enumerate st r.c_body ~delta:(i, pre_count) (fun matched ->
-            let key = (r.c_uid, matched) in
-            if not (Ikey.mem seen key) then begin
-              Ikey.add seen key ();
-              ignore (emit_rule_instance st out ?maps r matched)
-            end)
-      done)
-    base.b_rules;
-  List.iter
-    (fun group ->
-      List.iter
-        (fun m ->
-          Env.ensure st.env m.cm_nvars;
-          let npos = Array.length m.cm_body.b_pos in
-          for i = 0 to npos - 1 do
-            enumerate st m.cm_body ~delta:(i, pre_count) (fun matched ->
-                let key = (m.cm_uid, matched) in
-                if not (Ikey.mem seen key) then begin
-                  Ikey.add seen key ();
-                  ignore (emit_min_instance st out ?maps m matched)
-                end)
-          done)
-        group)
-    base.b_mins;
-  !rounds
-
-let check_extendable (base : base) =
-  (* A base with an empty-body conflict is already UNSAT; extension could
-     in principle retract such a conflict (an erased negation becoming
-     possible again), which the in-place re-emission cannot express.
-     Callers build bases from relaxed programs, so this does not arise. *)
-  if base.b_ground.Ground.inconsistent then
-    errf "cannot extend an inconsistent base program"
-
-let extension_stats st out rounds =
-  {
-    possible_atoms = Gatom.Store.count st.store;
-    ground_rules = Ground.num_rules out;
-    fixpoint_rounds = rounds;
-  }
-
-let extend ?(budget = Budget.unlimited) (base : base) (added : Ast.statement list) :
-    Ground.t * stats =
-  check_extendable base;
-  Budget.enter budget Budget.Ground;
-  let store = Gatom.Store.extend base.b_store in
-  let st = { store; env = Env.create (); idb = base.b_idb; budget } in
-  Env.ensure st.env base.b_nvars;
-  let out = Ground.fork base.b_ground store in
-  let rounds =
-    extend_onto st out base ~src_maps:base.b_maps ~maps:None ~update_slots:false added
-  in
-  (out, extension_stats st out rounds)
-
-let rebase ?(budget = Budget.unlimited) ?facts_stream (base : base)
-    (added : Ast.statement list) : base * stats =
-  check_extendable base;
-  Budget.enter budget Budget.Ground;
-  let store = Gatom.Store.clone base.b_store in
-  let st = { store; env = Env.create (); idb = base.b_idb; budget } in
-  Env.ensure st.env base.b_nvars;
-  let out = Ground.fork base.b_ground store in
-  let maps = clone_maps base.b_maps in
-  let rounds =
-    extend_onto st out base ~src_maps:maps ~maps:(Some maps) ~update_slots:true
-      ?facts_stream added
-  in
-  Gatom.Store.freeze store;
-  let stats = extension_stats st out rounds in
-  ({ base with b_store = store; b_ground = out; b_maps = maps; b_stats = stats }, stats)
+    } )

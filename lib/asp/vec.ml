@@ -73,9 +73,6 @@ let of_list ~dummy l =
   List.iter (push v) l;
   v
 
-let copy v =
-  { data = Array.copy v.data; len = v.len; dummy = v.dummy }
-
 let sort cmp v =
   let a = to_array v in
   Array.sort cmp a;

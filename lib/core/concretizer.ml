@@ -149,7 +149,7 @@ let apply_phase_hints (t : Asp.Translate.t) =
 
 let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_env)
     ?(prefs = Preferences.empty) ?installed ?reuse_mode ?budget ?pool ?(racers = 1)
-    ?(explain = false) ?substrate ~repo roots =
+    ?(explain = false) ~repo roots =
   let budget =
     match budget with
     | Some b -> b
@@ -161,67 +161,29 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
   in
   let n_facts = facts.Facts.n_facts in
   let n_possible = List.length facts.Facts.possible in
-  (* ground: through the substrate when one is given (frozen base + request
-     extension; the substrate holds its own parsed logic program, so the
-     load phase is 0 there), from scratch otherwise or when the substrate
-     declines the request *)
-  let via_substrate =
-    match substrate with
-    | None -> `Scratch
-    | Some s -> (
-      let t0 = Unix.gettimeofday () in
-      match
-        Substrate.ground_request s ~env ~prefs ?installed ~repo ~budget ~facts
-          roots
-      with
-      | exception Asp.Budget.Exhausted info ->
-        `Err (info, 0., Unix.gettimeofday () -. t0)
-      | None -> `Scratch
-      | Some g ->
-        `Ok
-          ( g.Substrate.ground,
-            g.Substrate.stats,
-            0.,
-            Unix.gettimeofday () -. t0,
-            g.Substrate.base_time,
-            g.Substrate.extend_time ))
+  (* load: parse the logic program (not memoized: the paper times this) *)
+  let lp, load_time = time (fun () -> Asp.Parser.parse Logic_program.text) in
+  let phases ~ground_time solve_time =
+    {
+      setup_time;
+      load_time;
+      ground_time;
+      ground_base_time = 0.;
+      ground_extend_time = 0.;
+      solve_time;
+    }
   in
-  let grounded =
-    match via_substrate with
-    | `Scratch -> (
-      (* load: parse the logic program (not memoized: the paper times this) *)
-      let lp, load_time = time (fun () -> Asp.Parser.parse Logic_program.text) in
-      let t0 = Unix.gettimeofday () in
-      match
-        Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
-          (lp @ facts.Facts.statements)
-      with
-      | exception Asp.Budget.Exhausted info ->
-        `Err (info, load_time, Unix.gettimeofday () -. t0)
-      | ground, stats ->
-        `Ok (ground, stats, load_time, Unix.gettimeofday () -. t0, 0., 0.))
-    | (`Err _ | `Ok _) as o -> o
-  in
-  match grounded with
-  | `Err (info, load_time, ground_time) ->
-    let phases =
-      {
-        setup_time;
-        load_time;
-        ground_time;
-        ground_base_time = 0.;
-        ground_extend_time = 0.;
-        solve_time = 0.;
-      }
-    in
-    Interrupted { info; phases; n_facts; n_possible }
-  | `Ok
-      ( ground,
-        ground_stats,
-        load_time,
-        ground_time,
-        ground_base_time,
-        ground_extend_time ) -> (
+  (* ground: from scratch, every request *)
+  let t0 = Unix.gettimeofday () in
+  match
+    Asp.Grounder.ground ~budget ?facts_stream:facts.Facts.reuse_stream
+      (lp @ facts.Facts.statements)
+  with
+  | exception Asp.Budget.Exhausted info ->
+    let ground_time = Unix.gettimeofday () -. t0 in
+    Interrupted { info; phases = phases ~ground_time 0.; n_facts; n_possible }
+  | ground, ground_stats -> (
+    let ground_time = Unix.gettimeofday () -. t0 in
     (* solve: translate, search, optimize *)
     let params =
       match params with
@@ -288,29 +250,10 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
     in
     match solved with
     | Error info ->
-      let phases =
-        {
-          setup_time;
-          load_time;
-          ground_time;
-          ground_base_time;
-          ground_extend_time;
-          solve_time = Unix.gettimeofday () -. t1;
-        }
-      in
+      let phases = phases ~ground_time (Unix.gettimeofday () -. t1) in
       Interrupted { info; phases; n_facts; n_possible }
     | Ok outcome -> (
-      let solve_time = Unix.gettimeofday () -. t1 in
-      let phases =
-        {
-          setup_time;
-          load_time;
-          ground_time;
-          ground_base_time;
-          ground_extend_time;
-          solve_time;
-        }
-      in
+      let phases = phases ~ground_time (Unix.gettimeofday () -. t1) in
       match outcome with
       | None ->
         let reasons =
@@ -340,10 +283,10 @@ let solve_uncached ?(config = Asp.Config.default) ?params ?(env = Facts.default_
           }))
 
 let solve ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget ?pool
-    ?racers ?explain ?cache ?substrate ~repo roots =
+    ?racers ?explain ?cache ~repo roots =
   let run () =
     solve_uncached ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget
-      ?pool ?racers ?explain ?substrate ~repo roots
+      ?pool ?racers ?explain ~repo roots
   in
   match cache with
   | None -> run ()
@@ -357,9 +300,8 @@ let solve ?config ?params ?env ?prefs ?installed ?reuse_mode ?budget ?pool
       r)
 
 let solve_spec ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain
-    ?cache ?substrate ~repo text =
-  solve ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain ?cache
-    ?substrate ~repo
+    ?cache ~repo text =
+  solve ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain ?cache ~repo
     [ Specs.Spec_parser.parse text ]
 
 (* Retry with escalation: each interrupted attempt doubles every finite
@@ -369,7 +311,7 @@ let solve_spec ?config ?env ?prefs ?installed ?reuse_mode ?budget ?explain
    retry. *)
 let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default)
     ?env ?prefs ?installed ?reuse_mode ?cancel ?fault ?pool ?racers ?explain
-    ?cache ?substrate ~repo roots =
+    ?cache ~repo roots =
   let base = Asp.Config.params config.Asp.Config.preset in
   let rec go k limits =
     let budget = Asp.Budget.start ?cancel limits in
@@ -380,7 +322,7 @@ let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default)
     in
     match
       solve ~config ~params ?env ?prefs ?installed ?reuse_mode ~budget ?pool
-        ?racers ?explain ?cache ?substrate ~repo roots
+        ?racers ?explain ?cache ~repo roots
     with
     | Interrupted { info; _ } as r ->
       if info.Asp.Budget.reason = Asp.Budget.Cancelled || k + 1 >= attempts
@@ -396,10 +338,10 @@ let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default)
    by over-subscribing, so [solve_many] keeps each job single-domain.
    Results are in input order. *)
 let solve_many ?pool ?(attempts = 1) ?config ?env ?prefs ?installed ?reuse_mode
-    ?cancel ?fault ?explain ?cache ?substrate ~repo jobs =
+    ?cancel ?fault ?explain ?cache ~repo jobs =
   let one roots =
     solve_escalating ~attempts ?config ?env ?prefs ?installed ?reuse_mode
-      ?cancel ?fault ?explain ?cache ?substrate ~repo roots
+      ?cancel ?fault ?explain ?cache ~repo roots
   in
   (* Dedupe identical requests within the batch before dispatch: duplicate-
      heavy batches (environment refreshes, CI matrices) pay for each unique

@@ -15,11 +15,10 @@ type phases = {
   load_time : float;
   ground_time : float;
   ground_base_time : float;
-      (** portion of [ground_time] spent building a substrate base from
-          scratch (0 without a substrate, or on a warm base hit) *)
-  ground_extend_time : float;
-      (** portion of [ground_time] spent extending a substrate base with
-          the request's own facts (0 without a substrate) *)
+      (** always [0.]: every request grounds from scratch.  Kept (with
+          [ground_extend_time]) only because the repository benchmark,
+          [perfbench/serve.ml], reads both fields. *)
+  ground_extend_time : float;  (** always [0.], see [ground_base_time] *)
   solve_time : float;
 }
 
@@ -108,7 +107,6 @@ val solve :
   ?racers:int ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   result
@@ -142,7 +140,6 @@ val solve_spec :
   ?budget:Asp.Budget.t ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   string ->
   result
@@ -162,7 +159,6 @@ val solve_escalating :
   ?racers:int ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list ->
   result
@@ -187,7 +183,6 @@ val solve_many :
   ?fault:(int -> Asp.Budget.t -> unit) ->
   ?explain:bool ->
   ?cache:cache ->
-  ?substrate:Substrate.t ->
   repo:Pkg.Repo.t ->
   Specs.Spec.abstract list list ->
   result list

@@ -10,11 +10,14 @@
     {!Concretize.Facts.Gen}), giving them the same trigger semantics and
     unsat-core provenance as Spack's conditions.  Installed state becomes
     [was_installed/2] reuse facts, streamed into the grounder's atom store
-    by default (the PR 6/8 substrate path, unchanged). *)
+    by default. *)
 
 type mode = [ `Stream | `Materialize ]
 (** How the installed-state facts are delivered; both modes produce the
-    identical ground program (atoms are seeded in the same order). *)
+    identical ground program (atoms are seeded in the same order).
+    [`Materialize] exists for the test oracles that need the facts as
+    statements ({!Asp.Naive} differentials, the stream/materialize
+    ground-program comparison); the solver always streams. *)
 
 type t = {
   statements : Asp.Ast.statement list;

@@ -164,13 +164,13 @@ let diff_state (doc : Doc.t) state =
   (removed, installed_new, changed)
 
 let solve ?(config = Asp.Config.default) ?params ?budget ?pool ?(racers = 1)
-    ?(explain = false) ?(stack = Criteria.Paranoid) ?installed_mode (doc : Doc.t) =
+    ?(explain = false) ?(stack = Criteria.Paranoid) (doc : Doc.t) =
   let budget =
     match budget with
     | Some b -> b
     | None -> Asp.Budget.start config.Asp.Config.limits
   in
-  let enc, setup_time = time (fun () -> Encode.generate ?installed_mode doc) in
+  let enc, setup_time = time (fun () -> Encode.generate doc) in
   let n_facts = enc.Encode.n_facts in
   (* load: parse the logic program (timed, like the Spack pipeline) *)
   let lp, load_time = time (fun () -> Asp.Parser.parse (Logic.text stack)) in
@@ -288,7 +288,7 @@ let solve ?(config = Asp.Config.default) ?params ?budget ?pool ?(racers = 1)
 (* Escalating retries, the Concretizer idiom: double every finite limit and
    reseed; never retry a cancellation. *)
 let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default) ?cancel
-    ?pool ?racers ?explain ?stack ?installed_mode doc =
+    ?pool ?racers ?explain ?stack doc =
   let base = Asp.Config.params config.Asp.Config.preset in
   let rec go k limits =
     let budget = Asp.Budget.start ?cancel limits in
@@ -297,8 +297,7 @@ let solve_escalating ?(attempts = 3) ?(config = Asp.Config.default) ?cancel
       else { base with Asp.Sat.seed = base.Asp.Sat.seed + (k * 7919) }
     in
     match
-      solve ~config ~params ~budget ?pool ?racers ?explain ?stack
-        ?installed_mode doc
+      solve ~config ~params ~budget ?pool ?racers ?explain ?stack doc
     with
     | Interrupted { info; _ } as r ->
       if info.Asp.Budget.reason = Asp.Budget.Cancelled || k + 1 >= attempts

@@ -50,7 +50,6 @@ val solve :
   ?racers:int ->
   ?explain:bool ->
   ?stack:Criteria.stack ->
-  ?installed_mode:Encode.mode ->
   Doc.t ->
   result
 (** One attempt.  [~explain:true] runs unsat-core extraction over the
@@ -68,7 +67,6 @@ val solve_escalating :
   ?racers:int ->
   ?explain:bool ->
   ?stack:Criteria.stack ->
-  ?installed_mode:Encode.mode ->
   Doc.t ->
   result
 (** Retry on budget exhaustion with doubled limits and a reseeded solver

@@ -3,9 +3,8 @@
 
     Architecture (PR 7): a {!Supervisor} accepts connections and shards
     them round-robin across [workers] {!Worker} event-loop domains; every
-    worker operates on one shared {!State} — solve cache, ground-program
-    substrate, single-flight {!Scheduler} over a pool of [jobs] solver
-    domains, and the installed database (an atomic snapshot swapped
+    worker operates on one shared {!State} — solve cache, single-flight
+    {!Scheduler} over a pool of [jobs] solver domains, and the installed database (an atomic snapshot swapped
     wholesale on install).  Workers are crash domains: an escaped
     exception kills one worker, the supervisor restarts it and closes the
     connections it leaked; other clients never notice.  Wedged workers

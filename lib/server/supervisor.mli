@@ -2,8 +2,8 @@
 
     The supervisor owns the listening socket and shards accepted
     connections round-robin across {!Worker} domains over the shared
-    {!State} (one solve cache, one substrate, one scheduler, one installed
-    database).  It is also the failure detector:
+    {!State} (one solve cache, one scheduler, one installed database).
+    It is also the failure detector:
 
     - a worker whose domain died from an escaped exception is observed
       via its status flag; the supervisor closes the connections the dead

@@ -748,13 +748,50 @@ let test_request_key () =
   let config = Asp.Config.make ~limits () in
   Alcotest.(check string) "budget-insensitive" (key "zlib")
     (Concretizer.request_key ~config ~repo [ Specs.Spec_parser.parse "zlib" ]);
-  (* installing anything moves every key *)
+  (* installing a package the request can see moves its key *)
   let db = Pkg.Database.create () in
   let k0 = key ~installed:db "zlib" in
   (match solve "zlib" with
   | Concretizer.Concrete s -> Pkg.Database.add_concrete db s.Concretizer.spec
   | _ -> Alcotest.fail "zlib solve failed");
   Alcotest.(check bool) "install invalidates" true (k0 <> key ~installed:db "zlib")
+
+(* Narrowed install invalidation: the solve-cache key digests only the
+   reuse-visible slice of the DB, so installing a package outside a
+   request's closure leaves that request's key — and its cached answer —
+   intact, while requests that can see the install are re-keyed. *)
+let test_request_key_narrowing () =
+  let db = Pkg.Database.create () in
+  let roots s = [ Specs.Spec_parser.parse s ] in
+  (* a root whose closure excludes zlib (verified, not assumed) *)
+  let unrelated =
+    match
+      List.find_opt
+        (fun s ->
+          not (List.mem "zlib" (Facts.closure_packages ~repo (roots s))))
+        [ "bzip2"; "autoconf"; "fftw"; "openblas" ]
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "no zlib-free root in the fixture repo"
+  in
+  let key s = Concretizer.request_key ~installed:db ~repo (roots s) in
+  let unrelated_before = key unrelated and zlib_before = key "zlib" in
+  (match Concretizer.solve ~installed:db ~repo (roots "zlib") with
+  | Concretizer.Concrete s -> Pkg.Database.add_concrete db s.Concretizer.spec
+  | _ -> Alcotest.fail "zlib solve failed");
+  Alcotest.(check string) "unrelated key survives the install"
+    unrelated_before (key unrelated);
+  Alcotest.(check bool) "observing key is re-keyed" true
+    (zlib_before <> key "zlib")
+
+(* Every request grounds from scratch, so the base/extend split of
+   [ground_time] is always zero; the fields stay in [phases] only for
+   readers of the daemon's reply phases. *)
+let test_ground_split_is_zero () =
+  let p = (concrete "hdf5+szip").Concretizer.phases in
+  Alcotest.(check bool) "ground > 0" true (p.Concretizer.ground_time > 0.);
+  Alcotest.(check (float 0.)) "no base build" 0. p.Concretizer.ground_base_time;
+  Alcotest.(check (float 0.)) "no extension" 0. p.Concretizer.ground_extend_time
 
 let () =
   Alcotest.run "concretize"
@@ -816,6 +853,13 @@ let () =
           Alcotest.test_case "cache hook" `Quick test_solve_cache_hook;
           Alcotest.test_case "request keys" `Quick test_request_key;
         ] );
+      ( "invalidation",
+        [
+          Alcotest.test_case "narrowed request keys" `Quick
+            test_request_key_narrowing;
+        ] );
+      ( "phases",
+        [ Alcotest.test_case "base/extend timings" `Quick test_ground_split_is_zero ] );
       ( "preferences",
         [
           Alcotest.test_case "preferred version" `Quick test_prefs_version;

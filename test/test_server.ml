@@ -531,35 +531,6 @@ let test_daemon_install_invalidates () =
       Alcotest.(check bool) "db grew" true (stats_int c "server" "db_size" >= 1);
       Server.Client.close c)
 
-let test_daemon_substrate_stats () =
-  with_daemon (fun sock ->
-      let c = client sock in
-      let solve spec =
-        match request c (Server.Protocol.solve spec) with
-        | Server.Protocol.Result { result = C.Concrete _; _ } -> ()
-        | _ -> Alcotest.failf "solve %s failed" spec
-      in
-      (* two different requests over one name skeleton: the second must
-         extend the first's frozen base, not rebuild it *)
-      solve "hdf5";
-      solve "hdf5+szip";
-      Alcotest.(check int) "one base built" 1
-        (stats_int c "substrate" "base_builds");
-      Alcotest.(check int) "both solves extended it" 2
-        (stats_int c "substrate" "extensions");
-      Alcotest.(check int) "no fallbacks" 0
-        (stats_int c "substrate" "fallbacks");
-      (* an install reaches the substrate as a delta (rebase) or a drop,
-         never as a silent wipe *)
-      (match request c (Server.Protocol.install "zlib") with
-      | Server.Protocol.Installed _ -> ()
-      | _ -> Alcotest.fail "expected an install reply");
-      Alcotest.(check bool) "install rebased or dropped bases" true
-        (stats_int c "substrate" "narrowed_invalidations"
-         + stats_int c "substrate" "full_invalidations"
-        >= 1);
-      Server.Client.close c)
-
 let test_daemon_bad_requests () =
   with_daemon (fun sock ->
       let c = client sock in
@@ -613,8 +584,6 @@ let () =
             test_daemon_disconnect_cancels;
           Alcotest.test_case "install invalidates" `Quick
             test_daemon_install_invalidates;
-          Alcotest.test_case "substrate stats" `Quick
-            test_daemon_substrate_stats;
           Alcotest.test_case "bad requests" `Quick test_daemon_bad_requests;
         ] );
     ]
