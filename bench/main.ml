@@ -199,6 +199,8 @@ let fig5 () =
 type row = {
   pkg : string;
   possible : int;
+  setup_t : float;
+  load_t : float;
   ground_t : float;
   solve_t : float;
   total_t : float;
@@ -241,6 +243,8 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
         {
           pkg;
           possible = s.Concretize.Concretizer.n_possible;
+          setup_t = p.Concretize.Concretizer.setup_time;
+          load_t = p.Concretize.Concretizer.load_time;
           ground_t = p.Concretize.Concretizer.ground_time;
           solve_t = p.Concretize.Concretizer.solve_time;
           total_t = Concretize.Concretizer.total p;
@@ -261,6 +265,8 @@ let solve_rows ?config ?installed ?cache ?(repo = repo) names =
         {
           pkg;
           possible = n_possible;
+          setup_t = p.Concretize.Concretizer.setup_time;
+          load_t = p.Concretize.Concretizer.load_time;
           ground_t = p.Concretize.Concretizer.ground_time;
           solve_t = p.Concretize.Concretizer.solve_time;
           total_t = Concretize.Concretizer.total p;
@@ -357,10 +363,12 @@ let write_json path =
     (fun i (exp, r) ->
       Printf.fprintf oc
         "    {\"experiment\": \"%s\", \"pkg\": \"%s\", \"possible\": %d, \
+         \"setup_s\": %.6f, \"load_s\": %.6f, \
          \"ground_s\": %.6f, \"solve_s\": %.6f, \"total_s\": %.6f, \
          \"wall_s\": %.6f, \"jobs\": %d, \"outcome\": \"%s\", \"verified\": %b, \
          \"cache\": \"%s\", \"peak_rss_mb\": %.1f}%s\n"
-        (json_escape exp) (json_escape r.pkg) r.possible r.ground_t r.solve_t r.total_t
+        (json_escape exp) (json_escape r.pkg) r.possible r.setup_t r.load_t
+        r.ground_t r.solve_t r.total_t
         r.wall_t r.jobs (json_escape r.outcome) r.verified (json_escape r.cache)
         r.peak_rss_mb
         (if i = List.length rows - 1 then "" else ","))
@@ -944,6 +952,8 @@ let cudf_bench () =
                     {
                       pkg = Printf.sprintf "synth-%d-%d" n seed;
                       possible = g.Asp.Grounder.possible_atoms;
+                      setup_t = p.Cudf.Solver.setup_time;
+                      load_t = p.Cudf.Solver.load_time;
                       ground_t = p.Cudf.Solver.ground_time;
                       solve_t = p.Cudf.Solver.solve_time;
                       total_t = Cudf.Solver.total p;

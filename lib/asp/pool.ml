@@ -46,7 +46,7 @@ let size t = Array.length t.workers
 
 let default_size () = max 1 (Domain.recommended_domain_count () - 1)
 
-let submit t f =
+let submit ?on_done t f =
   let fut = { fmutex = Mutex.create (); fdone = Condition.create (); cell = Pending } in
   let job () =
     let outcome =
@@ -57,7 +57,12 @@ let submit t f =
     Mutex.lock fut.fmutex;
     fut.cell <- outcome;
     Condition.broadcast fut.fdone;
-    Mutex.unlock fut.fmutex
+    Mutex.unlock fut.fmutex;
+    (* after the cell is set, so the callback already sees [is_done]; an
+       exception from it must not take the pool domain down with it *)
+    match on_done with
+    | Some k -> ( try k () with _ -> ())
+    | None -> ()
   in
   let st = t.st in
   Mutex.lock st.mutex;

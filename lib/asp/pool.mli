@@ -30,8 +30,13 @@ val default_size : unit -> int
 
 type 'a future
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a job.
+val submit : ?on_done:(unit -> unit) -> t -> (unit -> 'a) -> 'a future
+(** Enqueue a job.  [on_done] runs exactly once, on the pool domain that ran
+    the job, right after the job returned or raised and its future was
+    completed — so {!is_done} is already [true] inside it.  It is how a
+    caller that polls ({!is_done}) learns when to poll again instead of
+    waiting on a timer.  It delays the domain's next job, so it should be
+    short; an exception it raises is dropped.
     @raise Invalid_argument if the pool was {!shutdown}. *)
 
 val await : 'a future -> 'a
@@ -40,7 +45,8 @@ val await : 'a future -> 'a
 val is_done : 'a future -> bool
 (** Non-blocking: has the job completed (successfully or not)?  When [true],
     {!await} returns without blocking.  The request scheduler
-    ([Server.Scheduler]) polls this from its event loop. *)
+    ([Server.Scheduler]) polls this from the daemon's event loops, which
+    the [on_done] callback of {!submit} wakes. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Run [f] on every element across the pool; results in input order.  The

@@ -1,9 +1,16 @@
+(* The wake-up half of a flight.  It exists before the pool job does, so the
+   job's completion callback can reach it. *)
+type landing = {
+  mutable landed : bool;
+  mutable wakers : (unit -> unit) list;  (* fired once, when the job lands *)
+}
+
 type 'a entry = {
   key : string;
   future : 'a Asp.Pool.future;
   cancel : Asp.Budget.cancel_token;
+  landing : landing;
   mutable waiters : int;
-  mutable counted : bool;  (* bumped the completed counter already *)
   mutable cancelled : bool;
 }
 
@@ -47,31 +54,34 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Call with the lock held.  Finished entries leave the table (tickets keep
-   their own reference), so [Hashtbl.length] is the pending count and a key
-   can be solved afresh once its previous flight landed. *)
-let reap t =
-  let done_keys =
-    Hashtbl.fold
-      (fun k e acc -> if Asp.Pool.is_done e.future then (k, e) :: acc else acc)
-      t.inflight []
+(* The pool's [on_done] for one flight.  Under the lock the flight is
+   marked landed and leaves the table, so an entry found in the table has
+   not landed yet and a waker registered on it is still in time; the wakers
+   then fire outside the lock.  The table is checked for this very flight
+   (physical equality) before removing, and nothing else removes entries, so
+   a key can be solved afresh only once its previous flight landed and a
+   late poll of an old ticket can never evict a newer flight. *)
+let finish t key landing =
+  let wakers =
+    with_lock t (fun () ->
+        landing.landed <- true;
+        (match Hashtbl.find_opt t.inflight key with
+        | Some e when e.landing == landing -> Hashtbl.remove t.inflight key
+        | Some _ | None -> ());
+        t.completed <- t.completed + 1;
+        let ws = landing.wakers in
+        landing.wakers <- [];
+        ws)
   in
-  List.iter
-    (fun (k, e) ->
-      Hashtbl.remove t.inflight k;
-      if not e.counted then begin
-        e.counted <- true;
-        t.completed <- t.completed + 1
-      end)
-    done_keys
+  List.iter (fun wake -> try wake () with _ -> ()) wakers
 
-let submit t ~key job =
+let submit ?wake t ~key job =
   with_lock t (fun () ->
-      reap t;
       match Hashtbl.find_opt t.inflight key with
       | Some e ->
         e.waiters <- e.waiters + 1;
         t.deduped <- t.deduped + 1;
+        Option.iter (fun w -> e.landing.wakers <- w :: e.landing.wakers) wake;
         `Accepted { entry = e; live = true }
       | None ->
         if Hashtbl.length t.inflight >= t.max_pending then begin
@@ -80,10 +90,13 @@ let submit t ~key job =
         end
         else begin
           let cancel = Asp.Budget.token () in
-          let future = Asp.Pool.submit t.pool (fun () -> job ~cancel) in
-          let e =
-            { key; future; cancel; waiters = 1; counted = false; cancelled = false }
+          let landing = { landed = false; wakers = Option.to_list wake } in
+          let future =
+            Asp.Pool.submit t.pool
+              ~on_done:(fun () -> finish t key landing)
+              (fun () -> job ~cancel)
           in
+          let e = { key; future; cancel; landing; waiters = 1; cancelled = false } in
           Hashtbl.replace t.inflight key e;
           t.submitted <- t.submitted + 1;
           `Accepted { entry = e; live = true }
@@ -91,16 +104,8 @@ let submit t ~key job =
 
 let poll t ticket =
   let e = ticket.entry in
-  if not (Asp.Pool.is_done e.future) then `Pending
-  else begin
-    with_lock t (fun () ->
-        Hashtbl.remove t.inflight e.key;
-        if not e.counted then begin
-          e.counted <- true;
-          t.completed <- t.completed + 1
-        end);
-    `Done (try Ok (Asp.Pool.await e.future) with exn -> Error exn)
-  end
+  if not (with_lock t (fun () -> e.landing.landed)) then `Pending
+  else `Done (try Ok (Asp.Pool.await e.future) with exn -> Error exn)
 
 let abandon t ticket =
   if ticket.live then begin
@@ -118,7 +123,6 @@ let abandon t ticket =
 
 let stats t =
   with_lock t (fun () ->
-      reap t;
       {
         submitted = t.submitted;
         deduped = t.deduped;

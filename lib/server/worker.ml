@@ -40,6 +40,12 @@ type t = {
   inq_mutex : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  (* Solves landing on pool domains write [wake_w] from outside this
+     worker, possibly after the supervisor closed the pipes of a crashed
+     worker and the fd numbers were reused.  Every write and the close are
+     made under [wake_mutex], and no write happens once [pipes_closed]. *)
+  wake_mutex : Mutex.t;
+  mutable pipes_closed : bool;
   heartbeat : float Atomic.t;
   status : status Atomic.t;
   quarantined : bool Atomic.t;
@@ -69,6 +75,13 @@ let unregister_fd w fd =
   Mutex.lock w.fds_mutex;
   Hashtbl.remove w.live_fds fd;
   Mutex.unlock w.fds_mutex
+
+let wake w =
+  Mutex.lock w.wake_mutex;
+  if not w.pipes_closed then (
+    try ignore (Unix.write_substring w.wake_w "x" 0 1)
+    with Unix.Unix_error _ -> ());
+  Mutex.unlock w.wake_mutex
 
 let send conn line = if conn.alive then conn.out <- conn.out ^ line ^ "\n"
 
@@ -125,7 +138,9 @@ let admit lp ~deadline root =
   | Some result -> Ok (Ready (Protocol.Hit, result))
   | None -> (
     match
-      Scheduler.submit st.State.sched ~key (State.make_job st ~deadline root)
+      Scheduler.submit st.State.sched
+        ~wake:(fun () -> wake lp.w)
+        ~key (State.make_job st ~deadline root)
     with
     | `Accepted ticket -> Ok (Waiting { key; ticket })
     | `Overloaded -> Error ())
@@ -490,6 +505,8 @@ let run w =
     let wfds =
       List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) lp.conns
     in
+    (* a landed solve writes [wake_r] (see [admit]), so the timeout only
+       paces the heartbeat and the drain checks *)
     let r, wr, _ =
       match Unix.select rfds wfds [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -521,6 +538,8 @@ let start st ~id ~n_workers ~drain_grace =
       inq_mutex = Mutex.create ();
       wake_r;
       wake_w;
+      wake_mutex = Mutex.create ();
+      pipes_closed = false;
       heartbeat = Atomic.make (Unix.gettimeofday ());
       status = Atomic.make Running;
       quarantined = Atomic.make false;
@@ -547,12 +566,7 @@ let assign w fd =
   Mutex.lock w.inq_mutex;
   Queue.push fd w.inq;
   Mutex.unlock w.inq_mutex;
-  (try ignore (Unix.write_substring w.wake_w "x" 0 1)
-   with Unix.Unix_error _ -> ())
-
-let wake w =
-  try ignore (Unix.write_substring w.wake_w "x" 0 1)
-  with Unix.Unix_error _ -> ()
+  wake w
 
 let status w = Atomic.get w.status
 let heartbeat_age w now = now -. Atomic.get w.heartbeat
@@ -570,8 +584,13 @@ let close_remaining w =
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
 
 let close_pipes w =
-  (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close w.wake_w with Unix.Unix_error _ -> ()
+  Mutex.lock w.wake_mutex;
+  if not w.pipes_closed then begin
+    w.pipes_closed <- true;
+    (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
+    try Unix.close w.wake_w with Unix.Unix_error _ -> ()
+  end;
+  Mutex.unlock w.wake_mutex
 
 let join w =
   match w.domain with

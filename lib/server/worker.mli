@@ -26,7 +26,9 @@ val assign : t -> Unix.file_descr -> unit
 (** Hand an accepted connection to this worker (supervisor side). *)
 
 val wake : t -> unit
-(** Nudge the event loop (used when lifecycle flags change). *)
+(** Nudge the event loop: used when lifecycle flags change, and by the
+    {!Scheduler} when a solve this worker waits on lands.  Safe from any
+    domain, also after {!close_pipes} (it then does nothing). *)
 
 val status : t -> status
 
@@ -45,4 +47,7 @@ val close_remaining : t -> unit
     once the worker domain is dead (crashed). *)
 
 val close_pipes : t -> unit
+(** Close the wake pipe, once the worker domain is dead.  Idempotent, and
+    ordered with {!wake}: no wake writes to the pipe after it closed. *)
+
 val join : t -> unit

@@ -226,6 +226,27 @@ grep -q "shutdown complete" "$DRILL_DIR/load.log"
 rm -rf "$DRILL_DIR"
 trap - EXIT
 
+echo "== daemon latency gate (serve-mixed: a landed solve wakes its worker)"
+# A miss's reply must follow its solve, not the worker's 50 ms select
+# timeout: p50 under half that tick, with every op correct.
+GATE_OUT=$(mktemp)
+trap 'rm -f "$GATE_OUT"' EXIT
+timeout 600 python3 perfbench/run.py --workload serve-mixed --seed 1 \
+  --seconds 5 --trace 0 > "$GATE_OUT"
+python3 - "$GATE_OUT" << 'EOF'
+import json, sys
+d = json.loads([l for l in open(sys.argv[1]) if l.strip()][-1])
+assert d["correct"] is True, d
+assert d["failed"] == 0, d
+m = d["metrics"]
+p50 = m["latency_s.p50"]["value"]
+assert p50 < 0.025, "serve-mixed p50 %.4fs >= 0.025s" % p50
+print("serve-mixed: %.1f rps, p50 %.4fs, p90 %.4fs" % (
+    m["throughput_rps"]["value"], p50, m["latency_s.p90"]["value"]))
+EOF
+rm -f "$GATE_OUT"
+trap - EXIT
+
 echo "== bench smoke (fig3 + fig7d --quick)"
 timeout 600 dune exec bench/main.exe -- fig3 fig7d --quick --json BENCH_ci.json
 

@@ -108,6 +108,52 @@ let test_pool_shutdown () =
   | _ -> Alcotest.fail "submit after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
+(* [on_done] runs once per job, after the future completed (so [is_done]
+   already holds inside it), for a job that returned and for one that
+   raised; an [on_done] that raises leaves the pool domain alive. *)
+let test_pool_on_done () =
+  let p = Asp.Pool.create ~domains:1 in
+  let run job =
+    let gate = Atomic.make false in
+    let fut = Atomic.make None in
+    let fired = Atomic.make 0 in
+    let saw_done = Atomic.make false in
+    let on_done () =
+      Atomic.incr fired;
+      match Atomic.get fut with
+      | Some f -> Atomic.set saw_done (Asp.Pool.is_done f)
+      | None -> ()
+    in
+    let f =
+      Asp.Pool.submit p ~on_done (fun () ->
+          (* hold the job until the test can see its future *)
+          while not (Atomic.get gate) do
+            Domain.cpu_relax ()
+          done;
+          job ())
+    in
+    Atomic.set fut (Some f);
+    Atomic.set gate true;
+    (f, fired, saw_done)
+  in
+  let ok, ok_fired, ok_done = run (fun () -> 42) in
+  let bad, bad_fired, bad_done = run (fun () -> raise (Boom 1)) in
+  let after = Asp.Pool.submit p ~on_done:(fun () -> failwith "on_done raised") Fun.id in
+  let survivor = Asp.Pool.submit p (fun () -> 7) in
+  Asp.Pool.shutdown p;
+  (* joined: every callback has run *)
+  Alcotest.(check int) "result" 42 (Asp.Pool.await ok);
+  (match Asp.Pool.await bad with
+  | _ -> Alcotest.fail "expected the job's exception"
+  | exception Boom 1 -> ());
+  Alcotest.(check int) "fires once (returned)" 1 (Atomic.get ok_fired);
+  Alcotest.(check int) "fires once (raised)" 1 (Atomic.get bad_fired);
+  Alcotest.(check bool) "is_done inside (returned)" true (Atomic.get ok_done);
+  Alcotest.(check bool) "is_done inside (raised)" true (Atomic.get bad_done);
+  Asp.Pool.await after;
+  Alcotest.(check int) "pool domain survives a raising on_done" 7
+    (Asp.Pool.await survivor)
+
 (* ------------------------------------------------------------------ *)
 (* Cancel tokens                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -390,6 +436,7 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "stress" `Quick test_pool_stress;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          Alcotest.test_case "on_done" `Quick test_pool_on_done;
         ] );
       ( "tokens",
         [

@@ -328,6 +328,191 @@ let test_scheduler_cancel () =
       in
       drain ())
 
+let accepted = function
+  | `Accepted t -> t
+  | `Overloaded -> Alcotest.fail "unexpected shed"
+
+let wait_until what cond =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "never: %s" what;
+    Domain.cpu_relax ()
+  done
+
+let gated_job gate v ~cancel =
+  ignore cancel;
+  while not (Atomic.get gate) do
+    Domain.cpu_relax ()
+  done;
+  v
+
+(* Every waiter's waker fires once the shared job lands — the deduped
+   joiner's too — and a woken ticket polls [`Done]. *)
+let test_scheduler_wakes () =
+  let pool = Asp.Pool.create ~domains:1 in
+  let sched = Server.Scheduler.create ~pool ~max_pending:4 in
+  let gate = Atomic.make false in
+  Fun.protect ~finally:(fun () -> Atomic.set gate true; Asp.Pool.shutdown pool)
+  @@ fun () ->
+  let w1 = Atomic.make 0 and w2 = Atomic.make 0 in
+  let t1 =
+    accepted
+      (Server.Scheduler.submit sched ~wake:(fun () -> Atomic.incr w1) ~key:"k"
+         (gated_job gate 5))
+  in
+  let t2 =
+    accepted
+      (Server.Scheduler.submit sched ~wake:(fun () -> Atomic.incr w2) ~key:"k"
+         (gated_job gate 6))
+  in
+  Alcotest.(check int) "joined" 1 (Server.Scheduler.stats sched).deduped;
+  Alcotest.(check bool) "pending before landing" true
+    (Server.Scheduler.poll sched t2 = `Pending);
+  Alcotest.(check int) "no wake before landing" 0 (Atomic.get w1 + Atomic.get w2);
+  Atomic.set gate true;
+  wait_until "both wakers fired" (fun () -> Atomic.get w1 > 0 && Atomic.get w2 > 0);
+  (match (Server.Scheduler.poll sched t1, Server.Scheduler.poll sched t2) with
+  | `Done (Ok 5), `Done (Ok 5) -> ()
+  | _ -> Alcotest.fail "a woken ticket must poll done with the shared result");
+  let s = Server.Scheduler.stats sched in
+  Alcotest.(check int) "completed" 1 s.completed;
+  Alcotest.(check int) "nothing pending" 0 s.pending;
+  Asp.Pool.shutdown pool;
+  Alcotest.(check int) "first waker fired once" 1 (Atomic.get w1);
+  Alcotest.(check int) "joiner's waker fired once" 1 (Atomic.get w2)
+
+(* A submit racing the landing of the flight it targets: it either joins
+   the flight (possibly after the job completed, before the flight left
+   the table) or starts a new one once the flight landed.  Either way its
+   waker fires exactly once — no wake-up is lost in the window.  A submit
+   made from inside the landing waker itself is strictly after the
+   landing, so it starts a fresh flight, which wakes it in turn. *)
+let test_scheduler_late_joiner_woken () =
+  let rounds = 300 in
+  let pool = Asp.Pool.create ~domains:2 in
+  let sched = Server.Scheduler.create ~pool ~max_pending:4 in
+  let woken = Array.init rounds (fun _ -> Atomic.make 0) in
+  for i = 0 to rounds - 1 do
+    let key = string_of_int i in
+    let gate = Atomic.make false in
+    let t0 = accepted (Server.Scheduler.submit sched ~key (gated_job gate i)) in
+    Atomic.set gate true;
+    let t =
+      accepted
+        (Server.Scheduler.submit sched
+           ~wake:(fun () -> Atomic.incr woken.(i))
+           ~key (gated_job gate i))
+    in
+    wait_until "racing joiner woken" (fun () -> Atomic.get woken.(i) > 0);
+    (match Server.Scheduler.poll sched t with
+    | `Done (Ok v) when v = i -> ()
+    | _ -> Alcotest.fail "woken joiner did not poll done");
+    ignore (await_done sched t0)
+  done;
+  let inner = Atomic.make 0 in
+  let outer_gate = Atomic.make false in
+  ignore
+    (accepted
+       (Server.Scheduler.submit sched
+          ~wake:(fun () ->
+            ignore
+              (accepted
+                 (Server.Scheduler.submit sched
+                    ~wake:(fun () -> Atomic.incr inner)
+                    ~key:"in-waker"
+                    (fun ~cancel:_ -> 0))))
+          ~key:"in-waker" (gated_job outer_gate 0)));
+  let before = (Server.Scheduler.stats sched).submitted in
+  Atomic.set outer_gate true;
+  wait_until "submit from a landing waker woken" (fun () -> Atomic.get inner > 0);
+  Alcotest.(check int) "landed flight is not joined" (before + 1)
+    (Server.Scheduler.stats sched).submitted;
+  Asp.Pool.shutdown pool;
+  Array.iteri
+    (fun i w -> if Atomic.get w <> 1 then Alcotest.failf "round %d: %d wakes" i (Atomic.get w))
+    woken;
+  Alcotest.(check int) "inner waker fired once" 1 (Atomic.get inner)
+
+(* Regression: a flight lands and leaves the table, a new flight for the
+   same key starts, and only then is the old ticket polled.  The late poll
+   must not evict the new flight: it stays pending and a third submit for
+   the key joins it instead of starting a duplicate solve. *)
+let test_scheduler_late_poll () =
+  Asp.Pool.with_pool ~domains:2 (fun pool ->
+      let sched = Server.Scheduler.create ~pool ~max_pending:2 in
+      let landed = Atomic.make false in
+      let old =
+        accepted
+          (Server.Scheduler.submit sched
+             ~wake:(fun () -> Atomic.set landed true)
+             ~key:"k"
+             (fun ~cancel:_ -> 1))
+      in
+      wait_until "first flight landed" (fun () -> Atomic.get landed);
+      let gate = Atomic.make false in
+      Fun.protect ~finally:(fun () -> Atomic.set gate true) @@ fun () ->
+      let other = accepted (Server.Scheduler.submit sched ~key:"x" (gated_job gate 0)) in
+      let fresh = accepted (Server.Scheduler.submit sched ~key:"k" (gated_job gate 2)) in
+      Alcotest.(check int) "two flights pending" 2 (Server.Scheduler.stats sched).pending;
+      (match Server.Scheduler.poll sched old with
+      | `Done (Ok 1) -> ()
+      | _ -> Alcotest.fail "old ticket should hold its own result");
+      let s = Server.Scheduler.stats sched in
+      Alcotest.(check int) "late poll evicts nothing" 2 s.pending;
+      let joiner = accepted (Server.Scheduler.submit sched ~key:"k" (gated_job gate 3)) in
+      let s = Server.Scheduler.stats sched in
+      Alcotest.(check int) "third submit joins the new flight" 1 s.deduped;
+      Alcotest.(check int) "no duplicate solve" 3 s.submitted;
+      Atomic.set gate true;
+      (match (await_done sched fresh, await_done sched joiner) with
+      | Ok 2, Ok 2 -> ()
+      | _ -> Alcotest.fail "joiner should share the new flight's result");
+      ignore (await_done sched other))
+
+(* A crashed worker's pipes are closed by the supervisor while solves it
+   waited on may still land and wake it from a pool domain.  Such a wake
+   must neither raise nor write to the (possibly reused) fd numbers. *)
+let test_worker_wake_after_close () =
+  let cfg =
+    {
+      Server.State.repo;
+      solver = Asp.Config.default;
+      cache = Server.Cache.create ();
+      db = Pkg.Database.create ();
+      db_path = None;
+      journal = None;
+      journal_max_bytes = 0;
+      repl = None;
+      follower = false;
+      timeout = None;
+      client_rate = 0.;
+      client_burst = 8.;
+      max_pending = 1;
+      crash = None;
+    }
+  in
+  let st = Server.State.create ~jobs:1 cfg in
+  let w = Server.Worker.start st ~id:0 ~n_workers:1 ~drain_grace:1.0 in
+  Atomic.set st.Server.State.stopping true;
+  Server.Worker.wake w;
+  Server.Worker.join w;
+  Server.Worker.close_pipes w;
+  (* the lowest free fds: most likely the numbers the wake pipe just gave up *)
+  let r, wr = Unix.pipe () in
+  Unix.set_nonblock r;
+  Server.Worker.wake w;
+  Server.Worker.close_pipes w (* idempotent *);
+  Server.Worker.wake w;
+  let got =
+    match Unix.read r (Bytes.create 8) 0 8 with
+    | n -> n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+  in
+  Unix.close r;
+  Unix.close wr;
+  Asp.Pool.shutdown st.Server.State.pool;
+  Alcotest.(check int) "no byte written after close" 0 got
+
 (* ------------------------------------------------------------------ *)
 (* Daemon end-to-end                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -573,6 +758,13 @@ let () =
           Alcotest.test_case "single flight" `Quick test_scheduler_single_flight;
           Alcotest.test_case "overload" `Quick test_scheduler_overload;
           Alcotest.test_case "cancellation" `Quick test_scheduler_cancel;
+          Alcotest.test_case "wakes every waiter" `Quick test_scheduler_wakes;
+          Alcotest.test_case "late joiner woken" `Quick
+            test_scheduler_late_joiner_woken;
+          Alcotest.test_case "late poll keeps new flight" `Quick
+            test_scheduler_late_poll;
+          Alcotest.test_case "worker wake after close" `Quick
+            test_worker_wake_after_close;
         ] );
       ( "daemon",
         [
